@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import Fmm
 from repro.core.contract import Q_PAD, gemm_cols
-from repro.datasets import uniform_cube
+from repro.datasets import plummer_cluster, uniform_cube
 from repro.kernels import get_kernel
 from repro.perf.trace import TraceRecorder
 from repro.util.timer import PhaseProfile
@@ -77,6 +77,27 @@ class TestMultiRhsBitIdentity:
         for j in range(DENS_COLUMNS):
             solo = fmm.evaluate(pts, block[:, j], plan=plan, eval_plan=ep)
             assert np.array_equal(multi[:, j], solo), f"{kernel} col {j}"
+
+    @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
+    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
+    def test_plan_path_adaptive(self, kernel, precision):
+        """An adaptive tree, so the batched W- and X-list blocks run too
+        (the uniform cube above has no W/X pairs)."""
+        n = 900
+        pts = plummer_cluster(n, seed=21)
+        fmm = Fmm(kernel, order=4, max_points_per_box=40,
+                  precision=precision)
+        block = _density_block(kernel, n, DENS_COLUMNS, seed=9)
+        plan = fmm.plan(pts)
+        assert plan.lists.w.indices.size and plan.lists.x.indices.size
+        ep = fmm.compile_eval_plan(plan)
+        multi = fmm.evaluate(pts, block, plan=plan, eval_plan=ep)
+        one = fmm.evaluate(pts, block[:, :1], plan=plan, eval_plan=ep)
+        for j in range(DENS_COLUMNS):
+            solo = fmm.evaluate(pts, block[:, j], plan=plan, eval_plan=ep)
+            assert np.array_equal(multi[:, j], solo), f"{kernel} col {j}"
+            if j == 0:
+                assert np.array_equal(one[:, 0], solo)
 
     @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
     def test_no_plan_path(self, kernel):

@@ -164,6 +164,23 @@ class TestStore:
         assert store.get(fp, "laplace", SLO(latency_s=9.0)) is None
         assert store.get(fp, "laplace", SLO(), backend="dist4") is None
 
+    def test_config_with_retired_field_still_loads(self, tmp_path, points):
+        """Stores written while TuneConfig had a ``vli_multi_bytes`` field
+        keep loading: ``from_dict`` ignores keys it does not know."""
+        import json
+
+        path = tmp_path / "t.json"
+        store = TuneStore(path)
+        slo = SLO()
+        fp = geometry_fingerprint(points)
+        cfg = TuneConfig(order=4, max_points=64)
+        store.put(fp, "laplace", slo, cfg)
+        data = json.loads(path.read_text())
+        for entry in data["entries"].values():
+            entry["config"]["vli_multi_bytes"] = 8 * 2**20
+        path.write_text(json.dumps(data))
+        assert store.get(fp, "laplace", slo) == cfg
+
     def test_corrupt_and_versioned_files_treated_empty(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text("{not json")
