@@ -20,11 +20,14 @@ distributed driver and the GPU-accelerated evaluator reuse its phase
 methods, overriding only what they accelerate.
 
 Every phase accepts an optional precompiled :class:`~repro.core.plan.EvalPlan`
-(see that module): with a plan, the phase runs a pure-array apply over
-bit-identical precompiled schedules; without one it derives its batching
-per call as before.  :meth:`evaluate` compiles a plan lazily on the second
-consecutive call with the same ``(tree, lists)`` pair, so one-shot
-evaluations pay nothing and repeated applies amortise the setup.
+(see that module): with a plan, the phase runs the plan's one apply for
+that phase over bit-identical precompiled tiles, on the evaluator's task
+pool if it has one; without one it derives its batching per call as
+before.  :meth:`evaluate` (one density) and :meth:`evaluate_multi` (a
+column block, plan only) run the same eight-phase sequence.
+:meth:`evaluate` compiles a plan lazily on the second consecutive call
+with the same ``(tree, lists)`` pair, so one-shot evaluations pay nothing
+and repeated applies amortise the setup.
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ class FmmEvaluator:
         self._auto_result = None
         self._auto_lock = threading.Lock()
         # Intra-rank parallelism: plan applies run their phase tiles on a
-        # TaskPool when ``threads`` is set (``None`` = the historical
-        # serial path).  The pool may also be an externally owned shared
+        # TaskPool when ``threads`` is set (``None`` = inline, the serial
+        # loop).  The pool may also be an externally owned shared
         # executor (the serving engines) via :meth:`set_pool`.
         self._threads = None if threads is None else max(1, int(threads))
         self._pool = None
@@ -138,7 +141,7 @@ class FmmEvaluator:
 
     @property
     def threads(self) -> int | None:
-        """Configured task-pool size (``None`` = serial legacy path)."""
+        """Configured task-pool size (``None`` = plan tiles run inline)."""
         return self._threads
 
     @property
@@ -146,7 +149,8 @@ class FmmEvaluator:
         """The active :class:`~repro.core.parallel.TaskPool`, or ``None``.
 
         Created lazily from ``threads`` so constructing an evaluator
-        never spawns OS threads; plan applies pass this to every phase.
+        never spawns OS threads; the phase methods pass it to every plan
+        apply, which runs its tiles inline when it is ``None``.
         """
         if self._threads is None:
             return self._pool  # None, or an externally shared pool
@@ -411,6 +415,16 @@ class FmmEvaluator:
                 f"({expected}, q) multi-RHS block)"
             )
 
+        self._run_phases(tree, lists, dens, state, profile, plan)
+        return state["pot"]
+
+    def _run_phases(self, tree, lists, dens, state, profile, plan) -> None:
+        """The eight phases of Algorithm 1, one profile span each.
+
+        Shared by :meth:`evaluate` (``state`` from :meth:`allocate`) and
+        :meth:`evaluate_multi` (``state`` from :meth:`allocate_multi`,
+        plan required): every plan apply takes either layout.
+        """
         with profile.phase("S2U"):
             self.s2u(tree, dens, state, profile, plan=plan)
         with profile.phase("U2U"):
@@ -427,7 +441,6 @@ class FmmEvaluator:
             self.d2t(tree, state, profile, plan=plan)
         with profile.phase("ULI"):
             self.uli(tree, lists, dens, state, profile, plan=plan)
-        return state["pot"]
 
     def evaluate_multi(
         self,
@@ -442,13 +455,15 @@ class FmmEvaluator:
         """Potentials for a ``(n_points * source_dim, q)`` density block.
 
         Returns ``(n_points * eval_target_dim, q)``; column ``j`` is
-        bit-identical to ``evaluate(dens_block[:, j])`` (see the multi-RHS
-        notes in :mod:`repro.core.plan`).  The batched one-pass path needs
-        a plan; without one (or when the subclass sets
-        ``SUPPORTS_MULTI_RHS = False``) columns run through
-        :meth:`evaluate` one at a time — identical by construction, just
-        without the GEMM batching win.  ``precision`` behaves as in
-        :meth:`evaluate`.
+        bit-identical to ``evaluate(dens_block[:, j])`` (see the
+        phase-apply notes in :mod:`repro.core.plan`).  The batched
+        one-pass path needs a plan and runs the same phase applies as
+        :meth:`evaluate` on ``q``-column state; without a plan (or when
+        the subclass sets ``SUPPORTS_MULTI_RHS = False``) columns run
+        through :meth:`evaluate` one at a time — identical by
+        construction, just without the GEMM batching win.  Either way a
+        call visits the lazy plan cache once.  ``precision`` behaves as
+        in :meth:`evaluate`.
         """
         profile = profile if profile is not None else PhaseProfile()
         dens = np.ascontiguousarray(dens_block, dtype=np.float64)
@@ -460,17 +475,13 @@ class FmmEvaluator:
                 f"(n_points*source_dim = {expected})"
             )
         q = dens.shape[1]
-        if q == 1:
-            pot = self.evaluate(
-                tree, lists, dens[:, 0], profile, plan=plan,
-                use_plan=use_plan, precision=precision,
-            )
-            return pot.reshape(-1, 1)
         plan = self._resolve_plan(
             tree, lists, profile, plan, use_plan, precision
         )
         profile.precision = plan.precision if plan is not None else "fp64"
         if plan is None or not self.SUPPORTS_MULTI_RHS:
+            # columns reuse the plan (or the fp64 legacy path) resolved
+            # above: one call, one visit to the lazy plan cache
             cols = [
                 self.evaluate(
                     tree,
@@ -478,32 +489,14 @@ class FmmEvaluator:
                     np.ascontiguousarray(dens[:, j]),
                     profile,
                     plan=plan,
-                    use_plan=use_plan,
+                    use_plan=False,
+                    precision=None if plan is not None else "fp64",
                 )
                 for j in range(q)
             ]
             return np.stack(cols, axis=1)
         state = self.allocate_multi(tree, q)
-        pool = self.task_pool
-        with profile.phase("S2U"):
-            plan.apply_s2u_multi(self, dens, state, profile, pool=pool)
-        with profile.phase("U2U"):
-            plan.apply_u2u_multi(self, state, profile, pool=pool)
-        with profile.phase("VLI"):
-            if self.m2l_mode == "fft":
-                plan.apply_vli_fft_multi(self, state, profile, pool=pool)
-            else:
-                plan.apply_vli_dense_multi(self, state, profile, pool=pool)
-        with profile.phase("XLI"):
-            plan.apply_xli_multi(self, dens, state, profile, pool=pool)
-        with profile.phase("D2D"):
-            plan.apply_d2d_multi(self, state, profile, pool=pool)
-        with profile.phase("WLI"):
-            plan.apply_wli_multi(self, tree, state, profile, pool=pool)
-        with profile.phase("D2T"):
-            plan.apply_d2t_multi(self, state, profile, pool=pool)
-        with profile.phase("ULI"):
-            plan.apply_uli_multi(self, dens, state, profile, pool=pool)
+        self._run_phases(tree, lists, dens, state, profile, plan)
         pot = state["pot"]  # (n_points, q, kt_eval)
         return np.ascontiguousarray(pot.transpose(0, 2, 1)).reshape(
             -1, q
@@ -618,8 +611,9 @@ class FmmEvaluator:
 
         The column axis sits in the middle (``(rows, q, features)``) so
         per-column slices gather contiguously and per-box gathers keep a
-        box's columns adjacent (see the multi-RHS notes in
-        :mod:`repro.core.plan`).
+        box's columns adjacent.  The plan applies view :meth:`allocate`'s
+        single-RHS arrays as the ``q = 1`` case of this layout (see the
+        phase-apply notes in :mod:`repro.core.plan`).
         """
         ks, kt = self.kernel.source_dim, self.kernel.target_dim
         n = tree.n_nodes

@@ -891,7 +891,6 @@ class DistServeEngine:
                 continue
             else:
                 breaker.record_success()
-                replica["fmm"].clear_checkpoint()
                 return out
         self._check_deadline(deadline, model.name)
         err = ShardUnavailable(
@@ -934,6 +933,10 @@ class DistServeEngine:
                 timeout=self._run_timeout(deadline),
                 trace=self._trace,
             )
+            # cleared under the lock: a concurrent request with the same
+            # densities must not see the checkpoint vanish between its
+            # resume check and its checkpoint read
+            fmm.clear_checkpoint()
         out = np.empty((model.n_points, kt))
         out[src] = res.values[0].reshape(-1, kt)
         self._heartbeat(model, (fabric_rank,), time.monotonic() - t0)
