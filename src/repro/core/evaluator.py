@@ -19,15 +19,15 @@ potentials, charging flops to an optional :class:`PhaseProfile`.  Both the
 distributed driver and the GPU-accelerated evaluator reuse its phase
 methods, overriding only what they accelerate.
 
-Every phase accepts an optional precompiled :class:`~repro.core.plan.EvalPlan`
-(see that module): with a plan, the phase runs the plan's one apply for
-that phase over bit-identical precompiled tiles, on the evaluator's task
-pool if it has one; without one it derives its batching per call as
-before.  :meth:`evaluate` (one density) and :meth:`evaluate_multi` (a
-column block, plan only) run the same eight-phase sequence.
-:meth:`evaluate` compiles a plan lazily on the second consecutive call
-with the same ``(tree, lists)`` pair, so one-shot evaluations pay nothing
-and repeated applies amortise the setup.
+Every evaluation runs a compiled :class:`~repro.core.plan.EvalPlan` (see
+that module): each phase method is the plan's one apply for that phase,
+run on the evaluator's task pool if it has one.  :meth:`evaluate` (one
+density) and :meth:`evaluate_multi` (a column block) run the same
+eight-phase sequence.  Without a caller-supplied plan, the first call on
+a ``(tree, lists)`` pair compiles a throwaway plan without cached kernel
+matrices (the ``setup:oneshot`` span), and the second consecutive call
+compiles the full plan (``setup:plan``) and caches it, so repeated
+applies amortise the setup.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import weakref
 
 import numpy as np
 
-from repro.core.contract import gemm_cols
 from repro.core.fft_m2l import FftM2L
 from repro.core.lists import InteractionLists
 from repro.core.operators import OperatorCache
@@ -67,15 +66,13 @@ class FmmEvaluator:
         forces from the same pass.  Must share the base kernel's
         ``source_dim``.  Default: the base kernel itself.
     precision:
-        Arithmetic precision of plan-based applies: ``"fp64"`` (default;
+        Arithmetic precision of the plan applies: ``"fp64"`` (default;
         bit-identical to the pre-precision engine), ``"fp32"`` (float32
         GEMM phases / complex64 V-list; accumulators stay float64), or
         ``"auto"`` (a one-time calibration probe —
         :func:`repro.core.autotune.autotune_precision` — picks the
-        cheapest precision meeting ``precision_rtol``).  fp32 is
-        plan-only: the legacy per-call path stays float64, so
-        ``use_plan=False`` with an fp32 precision raises
-        :class:`~repro.core.plan.PrecisionError`.
+        cheapest precision meeting ``precision_rtol``).  Every call runs
+        at it, the first one included.
     precision_rtol:
         Relative-error target for ``precision="auto"`` (default
         :data:`repro.core.autotune.DEFAULT_PRECISION_RTOL`).
@@ -281,21 +278,20 @@ class FmmEvaluator:
     PLAN_CACHE_MATRICES = True
 
     def _cached_plan(self, tree, lists, profile, precision="fp64"):
-        """Plan for ``(tree, lists)``, compiled on the second consecutive
-        evaluate that sees the pair (one-shot calls stay plan-free).
+        """Plan for ``(tree, lists)``: the cached one, compiled on the
+        second consecutive evaluate that sees the pair, or else a
+        throwaway one-shot plan.
 
-        fp32 plans compile eagerly on the *first* call instead: float32
-        arithmetic only exists as a plan, so deferring would silently run
-        the first call in fp64 — a precision the caller did not ask for.
         A cached plan at a different precision is discarded and
-        recompiled (per-call overrides flip precision mid-stream).
-
-        Compilation is charged to the ``setup:plan`` span so traces and
-        the perf model can separate amortisable setup from apply work.
-        The whole lookup runs under ``_plan_lock``: two threads evaluating
-        the same pair must produce exactly one compile (later callers
-        block briefly, then reuse it) and must not race the weakref
-        bookkeeping into re-compiling or dropping a live plan.
+        recompiled (per-call overrides flip precision mid-stream).  The
+        cached compile is charged to ``setup:plan`` and runs under
+        ``_plan_lock``: two threads evaluating the same pair must produce
+        exactly one compile (later callers block briefly, then reuse it)
+        and must not race the weakref bookkeeping into re-compiling or
+        dropping a live plan.  The one-shot plan skips the kernel-matrix
+        caches (it is applied once), is charged to ``setup:oneshot``, and
+        compiles outside the lock so concurrent one-shots do not
+        serialise.
         """
         with self._plan_lock:
             tr = self._plan_tree() if self._plan_tree is not None else None
@@ -312,8 +308,7 @@ class FmmEvaluator:
                 and self._plan_obj.precision != precision
             ):
                 self._plan_obj = None
-            need_at = 1 if precision == "fp32" else 2
-            if self._plan_obj is None and self._plan_calls >= need_at:
+            if self._plan_obj is None and self._plan_calls >= 2:
                 with profile.phase("setup:plan"):
                     self._plan_obj = self.compile_plan(
                         tree,
@@ -321,7 +316,13 @@ class FmmEvaluator:
                         cache_matrices=self.PLAN_CACHE_MATRICES,
                         precision=precision,
                     )
-            return self._plan_obj
+            plan = self._plan_obj
+        if plan is not None:
+            return plan
+        with profile.phase("setup:oneshot"):
+            return self.compile_plan(
+                tree, lists, cache_matrices=False, precision=precision
+            )
 
     #: Whether this evaluator can push a multi-RHS ``(n, q)`` density
     #: block through the phases in one pass.  The GPU evaluator turns
@@ -329,13 +330,12 @@ class FmmEvaluator:
     #: back to a bit-identical per-column loop.
     SUPPORTS_MULTI_RHS = True
 
-    def _resolve_plan(self, tree, lists, profile, plan, use_plan, precision):
+    def _resolve_plan(self, tree, lists, profile, plan, precision):
         """Shared plan/precision resolution for the evaluate entry points.
 
-        Returns the plan to apply (or ``None`` for the fp64 legacy
-        path), enforcing the precision contract: an explicit plan's own
-        precision wins unless an explicit override contradicts it, and
-        fp32 without a plan is an error (there is no fp32 legacy path).
+        An explicit plan's own precision wins unless an explicit
+        override contradicts it; otherwise the plan comes from
+        :meth:`_cached_plan` at the effective precision.
         """
         from repro.core.plan import PrecisionError
 
@@ -351,14 +351,7 @@ class FmmEvaluator:
                     )
             return plan
         eff = self._effective_precision(tree, profile, precision)
-        if use_plan:
-            plan = self._cached_plan(tree, lists, profile, eff)
-        if plan is None and eff == "fp32":
-            raise PrecisionError(
-                "fp32 evaluation is plan-only (the legacy per-call path "
-                "is float64); enable use_plan or pass a compiled fp32 plan"
-            )
-        return plan
+        return self._cached_plan(tree, lists, profile, eff)
 
     # -- public API -------------------------------------------------------
 
@@ -369,7 +362,6 @@ class FmmEvaluator:
         densities: np.ndarray,
         profile: PhaseProfile | None = None,
         plan=None,
-        use_plan: bool = True,
         precision: str | None = None,
     ) -> np.ndarray:
         """Potentials at the tree's (Morton-sorted) points.
@@ -379,34 +371,27 @@ class FmmEvaluator:
         array whose first axis has ``n_points * source_dim`` rows is a
         multi-RHS column block and is routed to :meth:`evaluate_multi`
         (result ``(n_points * target_dim, q)``); any other shape is
-        flattened to a single density vector.
+        flattened to a single density vector.  A wrong-size density is
+        rejected before it touches the plan cache.
 
         ``plan`` applies a caller-compiled
         :class:`~repro.core.plan.EvalPlan` (validated against ``tree``).
-        Otherwise, with ``use_plan`` (the default), a plan is compiled
-        lazily on the second consecutive call with the same
-        ``(tree, lists)`` and reused from then on; ``use_plan=False``
-        forces the per-call legacy path.
+        Otherwise the first call on a ``(tree, lists)`` pair applies a
+        throwaway one-shot plan, and the second consecutive call compiles
+        a plan that is reused from then on.
 
         ``precision`` overrides the evaluator default for this call.  An
         explicit ``plan`` carries its own precision; combining it with a
         *conflicting* explicit override raises
-        :class:`~repro.core.plan.PrecisionError`, as does requesting
-        fp32 on the plan-free path (fp32 is plan-only).
+        :class:`~repro.core.plan.PrecisionError`.
         """
         profile = profile if profile is not None else PhaseProfile()
         expected = tree.n_points * self.kernel.source_dim
         arr = np.asarray(densities)
         if arr.ndim == 2 and arr.shape[0] == expected:
             return self.evaluate_multi(
-                tree, lists, arr, profile, plan=plan, use_plan=use_plan,
-                precision=precision,
+                tree, lists, arr, profile, plan=plan, precision=precision
             )
-        plan = self._resolve_plan(
-            tree, lists, profile, plan, use_plan, precision
-        )
-        profile.precision = plan.precision if plan is not None else "fp64"
-        state = self.allocate(tree)
         dens = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
         if dens.size != expected:
             raise ValueError(
@@ -414,7 +399,9 @@ class FmmEvaluator:
                 f"expected n_points*source_dim = {expected} (or a 2-D "
                 f"({expected}, q) multi-RHS block)"
             )
-
+        plan = self._resolve_plan(tree, lists, profile, plan, precision)
+        profile.precision = plan.precision
+        state = self.allocate(tree)
         self._run_phases(tree, lists, dens, state, profile, plan)
         return state["pot"]
 
@@ -422,25 +409,29 @@ class FmmEvaluator:
         """The eight phases of Algorithm 1, one profile span each.
 
         Shared by :meth:`evaluate` (``state`` from :meth:`allocate`) and
-        :meth:`evaluate_multi` (``state`` from :meth:`allocate_multi`,
-        plan required): every plan apply takes either layout.
+        :meth:`evaluate_multi` (``state`` from :meth:`allocate_multi`):
+        every plan apply takes either layout.
         """
-        with profile.phase("S2U"):
-            self.s2u(tree, dens, state, profile, plan=plan)
-        with profile.phase("U2U"):
-            self.u2u(tree, state, profile, plan=plan)
-        with profile.phase("VLI"):
-            self.vli(tree, lists, state, profile, plan=plan)
-        with profile.phase("XLI"):
-            self.xli(tree, lists, dens, state, profile, plan=plan)
-        with profile.phase("D2D"):
-            self.d2d(tree, state, profile, plan=plan)
+        self._expansion_phases(tree, lists, dens, state, profile, plan)
         with profile.phase("WLI"):
-            self.wli(tree, lists, state, profile, plan=plan)
+            self.wli(tree, lists, state, profile, plan)
         with profile.phase("D2T"):
-            self.d2t(tree, state, profile, plan=plan)
+            self.d2t(tree, state, profile, plan)
         with profile.phase("ULI"):
-            self.uli(tree, lists, dens, state, profile, plan=plan)
+            self.uli(tree, lists, dens, state, profile, plan)
+
+    def _expansion_phases(self, tree, lists, dens, state, profile, plan):
+        """S2U through D2D: everything before the target-side phases."""
+        with profile.phase("S2U"):
+            self.s2u(tree, dens, state, profile, plan)
+        with profile.phase("U2U"):
+            self.u2u(tree, state, profile, plan)
+        with profile.phase("VLI"):
+            self.vli(tree, lists, state, profile, plan)
+        with profile.phase("XLI"):
+            self.xli(tree, lists, dens, state, profile, plan)
+        with profile.phase("D2D"):
+            self.d2d(tree, state, profile, plan)
 
     def evaluate_multi(
         self,
@@ -449,21 +440,19 @@ class FmmEvaluator:
         dens_block: np.ndarray,
         profile: PhaseProfile | None = None,
         plan=None,
-        use_plan: bool = True,
         precision: str | None = None,
     ) -> np.ndarray:
         """Potentials for a ``(n_points * source_dim, q)`` density block.
 
         Returns ``(n_points * eval_target_dim, q)``; column ``j`` is
         bit-identical to ``evaluate(dens_block[:, j])`` (see the
-        phase-apply notes in :mod:`repro.core.plan`).  The batched
-        one-pass path needs a plan and runs the same phase applies as
-        :meth:`evaluate` on ``q``-column state; without a plan (or when
-        the subclass sets ``SUPPORTS_MULTI_RHS = False``) columns run
-        through :meth:`evaluate` one at a time — identical by
-        construction, just without the GEMM batching win.  Either way a
-        call visits the lazy plan cache once.  ``precision`` behaves as
-        in :meth:`evaluate`.
+        phase-apply notes in :mod:`repro.core.plan`).  The block runs the
+        same phase applies as :meth:`evaluate` on ``q``-column state;
+        when the subclass sets ``SUPPORTS_MULTI_RHS = False`` columns run
+        through :meth:`evaluate` one at a time on the same plan —
+        identical by construction, just without the GEMM batching win.
+        Either way a call visits the lazy plan cache once.  ``plan`` and
+        ``precision`` behave as in :meth:`evaluate`.
         """
         profile = profile if profile is not None else PhaseProfile()
         dens = np.ascontiguousarray(dens_block, dtype=np.float64)
@@ -475,22 +464,13 @@ class FmmEvaluator:
                 f"(n_points*source_dim = {expected})"
             )
         q = dens.shape[1]
-        plan = self._resolve_plan(
-            tree, lists, profile, plan, use_plan, precision
-        )
-        profile.precision = plan.precision if plan is not None else "fp64"
-        if plan is None or not self.SUPPORTS_MULTI_RHS:
-            # columns reuse the plan (or the fp64 legacy path) resolved
-            # above: one call, one visit to the lazy plan cache
+        plan = self._resolve_plan(tree, lists, profile, plan, precision)
+        profile.precision = plan.precision
+        if not self.SUPPORTS_MULTI_RHS:
             cols = [
                 self.evaluate(
-                    tree,
-                    lists,
-                    np.ascontiguousarray(dens[:, j]),
-                    profile,
+                    tree, lists, np.ascontiguousarray(dens[:, j]), profile,
                     plan=plan,
-                    use_plan=False,
-                    precision=None if plan is not None else "fp64",
                 )
                 for j in range(q)
             ]
@@ -512,12 +492,12 @@ class FmmEvaluator:
     ) -> np.ndarray:
         """Potentials at arbitrary target points (sources stay on the tree).
 
-        Runs the full upward/interaction/downward machinery on the source
-        tree, then evaluates the final phases (D2T, W-list, U-list direct)
-        at the given targets: each target inherits the interaction lists of
-        the leaf containing it.  Targets must lie in the unit cube.  This
-        path is plan-free: the target-side phases depend on the ad-hoc
-        target set, which a tree-bound plan cannot precompile.
+        Runs the upward/interaction/downward phases (S2U through D2D) on
+        the source tree through the same plan applies as :meth:`evaluate`
+        (and the same plan cache), then evaluates the target side (D2T,
+        W-list, U-list direct) at the given targets in float64: each
+        target inherits the interaction lists of the leaf containing it.
+        Targets must lie in the unit cube.
         """
         from repro.octree.linear import covering_leaf_indices
 
@@ -525,17 +505,9 @@ class FmmEvaluator:
         state = self.allocate(tree)
         dens = np.ascontiguousarray(densities, dtype=np.float64).reshape(-1)
         targets = np.asarray(targets, dtype=np.float64)
-
-        with profile.phase("S2U"):
-            self.s2u(tree, dens, state, profile)
-        with profile.phase("U2U"):
-            self.u2u(tree, state, profile)
-        with profile.phase("VLI"):
-            self.vli(tree, lists, state, profile)
-        with profile.phase("XLI"):
-            self.xli(tree, lists, dens, state, profile)
-        with profile.phase("D2D"):
-            self.d2d(tree, state, profile)
+        plan = self._resolve_plan(tree, lists, profile, None, None)
+        profile.precision = plan.precision
+        self._expansion_phases(tree, lists, dens, state, profile, plan)
 
         # Locate each target's leaf.
         from repro.util import morton
@@ -628,204 +600,32 @@ class FmmEvaluator:
         }
 
     # -- phases -----------------------------------------------------------
+    #
+    # Each phase method is its plan apply (see :mod:`repro.core.plan`),
+    # run on the evaluator's task pool.  They exist as override points:
+    # the GPU evaluator replaces the phases it accelerates and calls back
+    # here when its device faults.
 
-    #: Leaf boxes per batched kernel-matrix call (bounds peak memory).
-    LEAF_BATCH = 1024
+    def s2u(self, tree, dens, state, profile, plan) -> None:
+        """Leaf sources to upward equivalent densities."""
+        plan.apply_s2u(self, dens, state, profile, pool=self.task_pool)
 
-    def _leaf_batches(self, tree, sel):
-        from repro.core.tree import leaf_batches
-
-        yield from leaf_batches(tree, sel, self.LEAF_BATCH)
-
-    def _gather_leaf_points(self, tree, dens, group, pad, ks):
-        from repro.core.tree import gather_leaf_points
-
-        return gather_leaf_points(tree, dens, group, pad, ks)
-
-    def s2u(self, tree, dens, state, profile, scope=None, plan=None) -> None:
-        """Leaf sources to upward equivalent densities.
-
-        ``scope`` (bool mask over nodes) restricts the phase; the
-        distributed driver passes ownership masks so ghost data never
-        double-counts.
-        """
-        if plan is not None:
-            plan.apply_s2u(self, dens, state, profile, pool=self.task_pool)
-            return
-        ks, kt = self.kernel.source_dim, self.kernel.target_dim
-        up = state["up"]
-        counts = tree.point_counts()
-        sel = tree.is_leaf & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
-        base = {}
-        for lev, pad, group in self._leaf_batches(tree, sel):
-            pts, den = self._gather_leaf_points(tree, dens, group, pad, ks)
-            if lev not in base:
-                base[lev] = self.ops.uc_points(lev)
-            uc = base[lev][None, :, :] + tree.centers[group][:, None, :]
-            k = self.kernel.matrix_batch(uc, pts)
-            q = gemm_cols(k, den[:, :, None])[:, :, 0]
-            up[group] = q @ self.ops.uc2ue(lev).T
-            true_pts = counts[group].sum()
-            profile.add_flops(
-                self.kernel.pair_flops(self.ns, true_pts)
-                + 2.0 * group.size * (self.ns * ks) * (self.ns * kt)
-            )
-
-    def u2u(self, tree, state, profile, scope=None, plan=None) -> None:
+    def u2u(self, tree, state, profile, plan) -> None:
         """Post-order M2M accumulation (children into parents)."""
-        if plan is not None:
-            plan.apply_u2u(self, state, profile, pool=self.task_pool)
-            return
-        up = state["up"]
-        counts = tree.point_counts()
-        for lev in range(tree.max_level, 0, -1):
-            nodes = tree.nodes_at_level(lev)
-            nodes = nodes[counts[nodes] > 0]
-            if scope is not None:
-                nodes = nodes[scope[nodes]]
-            if nodes.size == 0:
-                continue
-            pos = tree.child_pos[nodes]
-            for k in range(8):
-                sel = nodes[pos == k]
-                if sel.size == 0:
-                    continue
-                m = self.ops.m2m(lev, k)
-                up[tree.parent[sel]] += up[sel] @ m.T
-                profile.add_flops(2.0 * sel.size * m.size)
+        plan.apply_u2u(self, state, profile, pool=self.task_pool)
 
-    def vli(self, tree, lists, state, profile, scope=None, plan=None) -> None:
+    def vli(self, tree, lists, state, profile, plan) -> None:
         """V-list translations (FFT-diagonal by default)."""
-        if plan is not None:
-            if self.m2l_mode == "fft":
-                plan.apply_vli_fft(self, state, profile, pool=self.task_pool)
-            else:
-                plan.apply_vli_dense(self, state, profile, pool=self.task_pool)
-            return
         if self.m2l_mode == "fft":
-            self._vli_fft(tree, lists, state, profile, scope)
+            plan.apply_vli_fft(self, state, profile, pool=self.task_pool)
         else:
-            self._vli_dense(tree, lists, state, profile, scope)
+            plan.apply_vli_dense(self, state, profile, pool=self.task_pool)
 
-    def _v_pairs_by_level(self, tree, lists, scope=None):
-        """Yield (level, tgt_idx, src_idx, offsets) for nonzero V pairs."""
-        v = lists.v
-        counts = v.counts
-        tgts = np.repeat(np.arange(tree.n_nodes), counts)
-        srcs = v.indices
-        if scope is not None and tgts.size:
-            keep = scope[tgts]
-            tgts, srcs = tgts[keep], srcs[keep]
-        if srcs.size == 0:
-            return
-        levels = tree.levels[tgts]
-        side = 2.0 * tree.half_widths[tgts]
-        offs = np.rint(
-            (tree.centers[tgts] - tree.centers[srcs]) / side[:, None]
-        ).astype(np.int64)
-        for lev in np.unique(levels):
-            sel = levels == lev
-            yield int(lev), tgts[sel], srcs[sel], offs[sel]
+    def xli(self, tree, lists, dens, state, profile, plan) -> None:
+        """X-list: source points of coarse leaves onto DC surfaces."""
+        plan.apply_xli(self, dens, state, profile, pool=self.task_pool)
 
-    def _vli_dense(self, tree, lists, state, profile, scope=None) -> None:
-        up, dcheck = state["up"], state["dcheck"]
-        for lev, tgts, srcs, offs in self._v_pairs_by_level(tree, lists, scope):
-            code = (offs[:, 0] + 3) * 49 + (offs[:, 1] + 3) * 7 + offs[:, 2] + 3
-            for c in np.unique(code):
-                sel = code == c
-                off = tuple(offs[sel][0])
-                m = self.ops.m2l_dense(lev, off)
-                # Within one offset each target appears at most once.
-                dcheck[tgts[sel]] += up[srcs[sel]] @ m.T
-                profile.add_flops(2.0 * sel.sum() * m.size)
-
-    #: Target boxes processed per FFT batch: bounds the frequency-grid
-    #: working set (each box holds a (2p)^3 complex grid) so deep levels
-    #: with tens of thousands of boxes do not blow up memory.
-    VLI_CHUNK = 2048
-
-    def _vli_chunks(self, tree, lists, scope=None):
-        """Yield FFT V-list chunk schedules ``(level, usrc, utgt, steps)``.
-
-        ``usrc``/``utgt`` are the unique source/target boxes of the chunk;
-        ``steps`` is a list of ``(offset, tgt_positions, src_positions,
-        n_pairs)`` where the positions index into ``utgt``/``usrc``.  Both
-        the per-call path and plan compilation iterate this generator, so
-        chunk boundaries and translation order are identical by
-        construction.  Within one offset each target appears at most once.
-        """
-        for lev, tgts, srcs, offs in self._v_pairs_by_level(tree, lists, scope):
-            # pairs arrive sorted by target; chunks are contiguous slices
-            utgt_all = np.unique(tgts)
-            for t0 in range(0, utgt_all.size, self.VLI_CHUNK):
-                chunk = utgt_all[t0 : t0 + self.VLI_CHUNK]
-                a = np.searchsorted(tgts, chunk[0], side="left")
-                b = np.searchsorted(tgts, chunk[-1], side="right")
-                ctgts, csrcs, coffs = tgts[a:b], srcs[a:b], offs[a:b]
-                usrc, src_pos = np.unique(csrcs, return_inverse=True)
-                utgt, tgt_pos = np.unique(ctgts, return_inverse=True)
-                code = (
-                    (coffs[:, 0] + 3) * 49 + (coffs[:, 1] + 3) * 7 + coffs[:, 2] + 3
-                )
-                steps = []
-                for c in np.unique(code):
-                    sel = code == c
-                    off = tuple(int(o) for o in coffs[sel][0])
-                    steps.append((off, tgt_pos[sel], src_pos[sel], int(sel.sum())))
-                yield lev, usrc, utgt, steps
-
-    def _vli_fft(self, tree, lists, state, profile, scope=None) -> None:
-        up, dcheck = state["up"], state["dcheck"]
-        fft = self.fft
-        kt = self.kernel.target_dim
-        for lev, usrc, utgt, steps in self._vli_chunks(tree, lists, scope):
-            uhat = fft.forward(up[usrc])
-            acc = np.zeros(
-                (utgt.size, kt, fft.n, fft.n, fft.nf), dtype=np.complex128
-            )
-            for off, tpos, spos, npairs in steps:
-                that = fft.kernel_hat(lev, off)
-                acc[tpos] += fft.translate(that, uhat[spos])
-                profile.add_flops(npairs * fft.translate_flops_per_pair())
-            dcheck[utgt] += fft.inverse(acc)
-            profile.add_flops(
-                (usrc.size * self.kernel.source_dim + utgt.size * kt)
-                * fft.fft_flops_per_box()
-            )
-
-    def _pair_batches(self, tree, rows, cols, level_of, pad_count_of):
-        """Group interaction pairs by (level, padded count) and chunk.
-
-        ``level_of``/``pad_count_of`` pick which side of the pair sets the
-        surface level and the padded point count.  Pairs within a group
-        share one broadcast kernel evaluation.
-        """
-        if rows.size == 0:
-            return
-        counts = pad_count_of
-        kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
-        code = level_of * np.int64(1 << 24) + kpad
-        for c in np.unique(code):
-            sel = np.flatnonzero(code == c)
-            pad = int(kpad[sel[0]])
-            lev = int(level_of[sel[0]])
-            chunk = max(1, int(6e6 / max(pad * self.ns, 1)))
-            for s in range(0, sel.size, chunk):
-                part = sel[s : s + chunk]
-                yield lev, pad, rows[part], cols[part]
-
-    def xli(self, tree, lists, dens, state, profile, scope=None, plan=None) -> None:
-        """X-list: source points of coarse leaves onto DC surfaces.
-
-        Pairs are batched by (target level, padded source count): the DC
-        surfaces are regenerated from target centres, the coarse-leaf
-        source points padded with zero-density centre points.
-        """
-        self.xli_apply(state, self.xli_compute(tree, lists, dens, profile, scope, plan))
-
-    def xli_compute(self, tree, lists, dens, profile, scope=None, plan=None) -> list:
+    def xli_compute(self, tree, lists, dens, profile, plan) -> list:
         """The GEMM stage of :meth:`xli`, decoupled from state mutation.
 
         X-list values depend only on ``dens`` — never on ``up`` or
@@ -835,42 +635,7 @@ class FmmEvaluator:
         and with the same values the fused :meth:`xli` would have added,
         so the split is bit-identical to running X-list in place.
         """
-        if plan is not None:
-            return plan.compute_xli(self, dens, profile, pool=self.task_pool)
-        ks = self.kernel.source_dim
-        counts = tree.point_counts()
-        x = lists.x
-        sel = x.counts > 0
-        if scope is not None:
-            sel = sel & scope
-        rows = np.repeat(np.arange(tree.n_nodes), np.where(sel, x.counts, 0))
-        cols = x.indices[np.repeat(sel, x.counts)] if x.indices.size else x.indices
-        keep = counts[cols] > 0
-        rows, cols = rows[keep], cols[keep]
-        out = []
-        if rows.size == 0:
-            return out
-        base = {}
-        for lev, pad, ri, ci in self._pair_batches(
-            tree, rows, cols, tree.levels[rows], counts[cols]
-        ):
-            pts, den = self._gather_leaf_points_for(tree, dens, ci, pad, ks)
-            if lev not in base:
-                base[lev] = self.ops.dc_points(lev)
-            dc = base[lev][None, :, :] + tree.centers[ri][:, None, :]
-            k = self.kernel.matrix_batch(dc, pts)
-            vals = gemm_cols(k, den[:, :, None])[:, :, 0]
-            # segment-sum by target (np.add.at is an order slower)
-            order = np.argsort(ri, kind="stable")
-            sorted_ri = ri[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], sorted_ri[1:] != sorted_ri[:-1]])
-            )
-            out.append(
-                (sorted_ri[starts], np.add.reduceat(vals[order], starts, axis=0))
-            )
-            profile.add_flops(self.kernel.pair_flops(self.ns, counts[ci].sum()))
-        return out
+        return plan.compute_xli(self, dens, profile, pool=self.task_pool)
 
     @staticmethod
     def xli_apply(state, deferred) -> None:
@@ -884,209 +649,18 @@ class FmmEvaluator:
         :meth:`xli` (the GPU evaluator's device path cannot defer)."""
         return True
 
-    def _gather_leaf_points_for(self, tree, dens, nodes, pad, ks):
-        """Padded (points, densities) for arbitrary (possibly repeated)
-        leaf nodes; padding at box centres with zero density."""
-        b = nodes.size
-        pts = np.repeat(tree.centers[nodes][:, None, :], pad, axis=1)
-        den = np.zeros((b, pad * ks))
-        for j, i in enumerate(nodes):
-            n = tree.pt_end[i] - tree.pt_begin[i]
-            pts[j, :n] = tree.points[tree.pt_begin[i] : tree.pt_end[i]]
-            if ks:
-                den[j, : n * ks] = dens[tree.pt_begin[i] * ks : tree.pt_end[i] * ks]
-        return pts, den
-
-    def d2d(self, tree, state, profile, scope=None, plan=None) -> None:
+    def d2d(self, tree, state, profile, plan) -> None:
         """Pre-order L2L propagation and check-to-equivalent conversion."""
-        if plan is not None:
-            plan.apply_d2d(self, state, profile, pool=self.task_pool)
-            return
-        dcheck, dequiv = state["dcheck"], state["dequiv"]
-        # Root has no far field: dequiv stays zero.
-        for lev in range(1, tree.max_level + 1):
-            nodes = tree.nodes_at_level(lev)
-            if scope is not None:
-                nodes = nodes[scope[nodes]]
-            if nodes.size == 0:
-                continue
-            pos = tree.child_pos[nodes]
-            for k in range(8):
-                sel = nodes[pos == k]
-                if sel.size == 0:
-                    continue
-                m = self.ops.l2l(lev, k)
-                dcheck[sel] += dequiv[tree.parent[sel]] @ m.T
-                profile.add_flops(2.0 * sel.size * m.size)
-            conv = self.ops.dc2de(lev)
-            dequiv[nodes] = dcheck[nodes] @ conv.T
-            profile.add_flops(2.0 * nodes.size * conv.size)
+        plan.apply_d2d(self, state, profile, pool=self.task_pool)
 
-    def wli(self, tree, lists, state, profile, scope=None, plan=None) -> None:
-        """W-list: source-box up densities evaluated at target points.
+    def wli(self, tree, lists, state, profile, plan) -> None:
+        """W-list: source-box up densities evaluated at target points."""
+        plan.apply_wli(self, tree, state, profile, pool=self.task_pool)
 
-        Pairs are batched by (source level, padded target count); the
-        source UE surfaces are regenerated from box centres.  Sources are
-        gated on their density (not local point counts): in a LET an
-        internal ghost source has a valid up density but no locally
-        stored points.  The potential scatter segment-sums contributions
-        per target leaf (stable argsort + ``reduceat``, exactly as the
-        plan path does) before one vectorised add.
-        """
-        if plan is not None:
-            plan.apply_wli(self, tree, state, profile, pool=self.task_pool)
-            return
-        kt = self.eval_kernel.target_dim
-        up = state["up"]
-        potr = state["_pot_pad"].reshape(tree.n_points + 1, kt)
-        counts = tree.point_counts()
-        w = lists.w
-        sel = tree.is_leaf & (w.counts > 0) & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
-        rows = np.repeat(np.arange(tree.n_nodes), np.where(sel, w.counts, 0))
-        cols = w.indices[np.repeat(sel, w.counts)] if w.indices.size else w.indices
-        if rows.size:
-            keep = np.any(up[cols] != 0.0, axis=1)
-            rows, cols = rows[keep], cols[keep]
-        if rows.size == 0:
-            return
-        base = {}
-        for lev, pad, ri, ci in self._pair_batches(
-            tree, rows, cols, tree.levels[cols], counts[rows]
-        ):
-            pts, _ = self._gather_leaf_points_for(tree, np.empty(0), ri, pad, 0)
-            if lev not in base:
-                base[lev] = self.ops.ue_points(lev)
-            ue = base[lev][None, :, :] + tree.centers[ci][:, None, :]
-            k = self.eval_kernel.matrix_batch(pts, ue)
-            vals = gemm_cols(k, up[ci][:, :, None])[:, :, 0]
-            order = np.argsort(ri, kind="stable")
-            sri = ri[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], sri[1:] != sri[:-1]])
-            )
-            seg = sri[starts]
-            sums = np.add.reduceat(vals[order], starts, axis=0)
-            ar = np.arange(pad, dtype=np.int64)[None, :]
-            prow = tree.pt_begin[seg][:, None] + ar
-            prow[ar >= counts[seg][:, None]] = tree.n_points
-            potr[prow] += sums.reshape(seg.size, pad, kt)
-            profile.add_flops(self.eval_kernel.pair_flops(counts[ri].sum(), self.ns))
-
-    def d2t(self, tree, state, profile, scope=None, plan=None) -> None:
+    def d2t(self, tree, state, profile, plan) -> None:
         """Down equivalent densities to potentials at leaf targets."""
-        if plan is not None:
-            plan.apply_d2t(self, state, profile, pool=self.task_pool)
-            return
-        kt = self.eval_kernel.target_dim
-        dequiv, pot = state["dequiv"], state["pot"]
-        counts = tree.point_counts()
-        sel = tree.is_leaf & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
-        base = {}
-        for lev, pad, group in self._leaf_batches(tree, sel):
-            pts, _ = self._gather_leaf_points(tree, np.empty(0), group, pad, 0)
-            if lev not in base:
-                base[lev] = self.ops.de_points(lev)
-            de = base[lev][None, :, :] + tree.centers[group][:, None, :]
-            k = self.eval_kernel.matrix_batch(pts, de)
-            vals = gemm_cols(k, dequiv[group][:, :, None])[:, :, 0]
-            for j, i in enumerate(group):
-                n = tree.pt_end[i] - tree.pt_begin[i]
-                pot[tree.pt_begin[i] * kt : tree.pt_end[i] * kt] += vals[
-                    j, : n * kt
-                ]
-            profile.add_flops(self.eval_kernel.pair_flops(counts[group].sum(), self.ns))
+        plan.apply_d2t(self, state, profile, pool=self.task_pool)
 
-    def _uli_groups(self, tree, lists, scope=None):
-        """Yield U-list batch groups ``(tpad, spad, boxes, src_totals)``.
-
-        Groups selected leaves by (padded target count, padded total
-        source count) and chunks each group; both the per-call path and
-        plan compilation iterate this generator so batch membership is
-        identical by construction.  The per-leaf total source count is a
-        CSR segment sum over the U-list (prefix-sum difference — no
-        Python loop over leaves).
-        """
-        counts = tree.point_counts()
-        u = lists.u
-        sel = tree.is_leaf & (counts > 0)
-        if scope is not None:
-            sel = sel & scope
-        leaves = np.flatnonzero(sel)
-        if leaves.size == 0:
-            return
-        csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
-        src_total = csum[u.offsets[leaves + 1]] - csum[u.offsets[leaves]]
-        active = src_total > 0
-        leaves, src_total = leaves[active], src_total[active]
-        if leaves.size == 0:
-            return
-        tpad = np.maximum(
-            1 << np.ceil(np.log2(np.maximum(counts[leaves], 1))).astype(np.int64), 1
-        )
-        spad = np.maximum(
-            1 << np.ceil(np.log2(np.maximum(src_total, 1))).astype(np.int64), 1
-        )
-        code = tpad * np.int64(1 << 32) + spad
-        for c in np.unique(code):
-            grp = np.flatnonzero(code == c)
-            tp = int(tpad[grp[0]])
-            sp = int(spad[grp[0]])
-            # bounded chunks keep batched GEMMs large enough to amortise
-            # dispatch while keeping each compiled kmat block small
-            # enough that a localized geometry update leaves most blocks
-            # untouched — whole-block reuse in patch_plan shares those by
-            # reference instead of copying (blocks sit in leaf Morton
-            # order, so a moving cluster dirties a few contiguous chunks)
-            chunk = max(1, int(1.5e6 / max(tp * sp, 1)))
-            for s in range(0, grp.size, chunk):
-                part = grp[s : s + chunk]
-                yield tp, sp, leaves[part], src_total[part]
-
-    def uli(self, tree, lists, dens, state, profile, scope=None, plan=None) -> None:
-        """U-list: exact near-field interactions.
-
-        Leaves are batched by (padded target count, padded total source
-        count); each batch evaluates one broadcast kernel block over the
-        concatenated (centre-padded, zero-density) neighbour sources.
-        """
-        if plan is not None:
-            plan.apply_uli(self, dens, state, profile, pool=self.task_pool)
-            return
-        ks = self.kernel.source_dim
-        kt = self.eval_kernel.target_dim
-        pot = state["pot"]
-        counts = tree.point_counts()
-        u = lists.u
-        for tp, sp, boxes, src_total in self._uli_groups(tree, lists, scope):
-            m = boxes.size
-            tgt, _ = self._gather_leaf_points_for(tree, np.empty(0), boxes, tp, 0)
-            src = np.repeat(tree.centers[boxes][:, None, :], sp, axis=1)
-            den = np.zeros((m, sp * ks))
-            for j, i in enumerate(boxes):
-                pos = 0
-                for a in u.of(i):
-                    n = counts[a]
-                    if n == 0:
-                        continue
-                    src[j, pos : pos + n] = tree.points[
-                        tree.pt_begin[a] : tree.pt_end[a]
-                    ]
-                    den[j, pos * ks : (pos + n) * ks] = dens[
-                        tree.pt_begin[a] * ks : tree.pt_end[a] * ks
-                    ]
-                    pos += n
-            k = self.eval_kernel.matrix_batch(tgt, src)
-            vals = gemm_cols(k, den[:, :, None])[:, :, 0]
-            for j, i in enumerate(boxes):
-                n = tree.pt_end[i] - tree.pt_begin[i]
-                pot[tree.pt_begin[i] * kt : tree.pt_end[i] * kt] += vals[
-                    j, : n * kt
-                ]
-            profile.add_flops(
-                self.eval_kernel.pair_flops(1, 1)
-                * float((counts[boxes] * src_total).sum())
-            )
+    def uli(self, tree, lists, dens, state, profile, plan) -> None:
+        """U-list: exact near-field interactions."""
+        plan.apply_uli(self, dens, state, profile, pool=self.task_pool)

@@ -226,7 +226,6 @@ class Fmm:
         plan: FmmPlan | None = None,
         profile: PhaseProfile | None = None,
         eval_plan=None,
-        use_plan: bool = True,
         precision: str | None = None,
     ) -> np.ndarray:
         """Potential at every point, in the input point order.
@@ -240,13 +239,13 @@ class Fmm:
         Any other shape is flattened to a single vector.
 
         Repeated calls with the same ``plan`` amortise setup automatically:
-        the evaluator compiles an :class:`~repro.core.plan.EvalPlan` on the
-        second call and reuses it from then on (``use_plan=False`` opts
-        out; ``eval_plan=`` supplies a precompiled one).
+        the first call applies a throwaway
+        :class:`~repro.core.plan.EvalPlan`, the second compiles one that is
+        reused from then on (``eval_plan=`` supplies a precompiled one).
 
         ``precision`` overrides the constructor's precision for this call
-        (``"fp64"`` / ``"fp32"`` / ``"auto"``); fp32 requires the plan
-        path (see :class:`~repro.core.evaluator.FmmEvaluator`).
+        (``"fp64"`` / ``"fp32"`` / ``"auto"``; see
+        :class:`~repro.core.evaluator.FmmEvaluator`).
         """
         points = np.asarray(points, dtype=np.float64)
         profile = profile if profile is not None else PhaseProfile()
@@ -265,7 +264,7 @@ class Fmm:
             )
             pot_sorted = self.evaluator.evaluate_multi(
                 tree, plan.lists, sorted_dens, profile,
-                plan=eval_plan, use_plan=use_plan, precision=precision,
+                plan=eval_plan, precision=precision,
             )
             pot = np.empty_like(pot_sorted)
             pot.reshape(-1, kt, q)[tree.order] = pot_sorted.reshape(-1, kt, q)
@@ -273,7 +272,7 @@ class Fmm:
         sorted_dens = dens.reshape(-1, ks)[tree.order].reshape(-1)
         pot_sorted = self.evaluator.evaluate(
             tree, plan.lists, sorted_dens, profile,
-            plan=eval_plan, use_plan=use_plan, precision=precision,
+            plan=eval_plan, precision=precision,
         )
         pot = np.empty_like(pot_sorted)
         pot.reshape(-1, kt)[tree.order] = pot_sorted.reshape(-1, kt)
@@ -295,8 +294,8 @@ class Fmm:
 
         ``densities`` follows the same reshape rule as :meth:`evaluate`:
         a 2-D ``(n_points * source_dim, q)`` block evaluates each column
-        in turn (this path is plan-free, so there is no batched pass) and
-        returns ``(n_targets * target_dim, q)``.
+        in turn (the target side is a per-leaf loop, so there is no
+        batched pass) and returns ``(n_targets * target_dim, q)``.
         """
         sources = np.asarray(sources, dtype=np.float64)
         profile = profile if profile is not None else PhaseProfile()

@@ -11,13 +11,14 @@ reused across applies.  That is what :class:`EvalPlan` holds.
 
 Design rules:
 
-* **Bit-identical results.**  A plan-based apply must produce exactly the
-  floating-point operation sequence of the legacy per-call path.  Compile
-  therefore consumes the *same* grouping generators the legacy phases use
-  (``FmmEvaluator._leaf_batches`` / ``_pair_batches`` / ``_vli_chunks`` /
-  ``_uli_groups``), so batch membership, batch order and chunk boundaries
-  cannot diverge, and padded point arrays are materialised with the same
-  centre padding the legacy gathers produce.
+* **Bit-identical results.**  Every way of running a plan produces the
+  same floats: a one-shot plan without cached kernel matrices and a
+  cached one, serial and pooled applies, one column or many, a fresh
+  compile and a :func:`patch_plan`.  Batch membership, batch order and
+  chunk boundaries come from this module's grouping generators
+  (``_leaf_batches``, ``_pair_batches``, ``_vli_chunks``,
+  ``_uli_groups``) and nowhere else, and padded point arrays carry the
+  box centre in every padding slot.
 * **No Python per-box loops at apply time.**  Gathers are a single fancy
   index into a sentinel-extended density table; scatters are a stable
   argsort + ``np.add.reduceat`` segment sum (precompiled order/starts)
@@ -29,7 +30,8 @@ Design rules:
   boxes whose upward density is identically zero — a property of the
   density, not the tree.  Its schedule is compiled lazily at first apply
   from the observed zero pattern and transparently recompiled if a later
-  density changes that pattern, so results always match the legacy path.
+  density changes that pattern, so results never depend on what an
+  earlier apply saw.
 * **Kernel matrices are plan state too.**  Leaf/pair kernel blocks depend
   only on geometry; they are materialised at compile under a byte budget
   (U-list first — it dominates), turning those phases into pure
@@ -93,10 +95,10 @@ VALID_PRECISIONS = ("fp64", "fp32", "auto")
 class PrecisionError(ValueError):
     """An invalid or unsatisfiable precision request.
 
-    Raised for unknown precision strings, for ``fp32`` requests on paths
-    that cannot honour them (the plan-less legacy evaluator is
-    float64-only), and by the serving engine when a request overrides a
-    model to a precision the model does not allow.
+    Raised for unknown precision strings, for a per-call override that
+    contradicts an explicit plan's precision, and by the serving engine
+    when a request overrides a model to a precision the model does not
+    allow.
     """
 
 
@@ -124,10 +126,10 @@ def tree_fingerprint(tree: FmmTree) -> str:
 class PlanScopes:
     """Per-phase node masks baked into a plan at compile time.
 
-    ``None`` means unrestricted.  The distributed driver passes the same
-    ownership masks it hands the legacy phases, so ghost data never
-    double-counts.  A plan compiled with scopes must only be applied by a
-    caller that would pass those same scopes.
+    ``None`` means unrestricted.  The distributed driver bakes each
+    rank's ownership masks in, so ghost data never double-counts; the
+    plan keeps them (:attr:`EvalPlan.scopes`) for the device W/X-list
+    paths, which select their boxes from the same masks.
     """
 
     s2u: np.ndarray | None = None
@@ -260,7 +262,8 @@ class EvalPlan:
     ks: int
     kt: int  # base-kernel target dim (check surfaces)
     kt_eval: int  # eval-kernel target dim (potential layout)
-    scoped: bool
+    #: The ownership masks the plan was compiled with.
+    scopes: PlanScopes
     #: Arithmetic precision of the GEMM / FFT-translate phases: "fp64"
     #: (historical, bit-identical default) or "fp32" (float32 matrices,
     #: complex64 hats, float32 gather tables; accumulators stay float64).
@@ -845,6 +848,161 @@ def _tile_section(profile, phase: str, pool):
     )
 
 
+# -- batching -----------------------------------------------------------------
+#
+# The grouping generators below fix batch membership, batch order and
+# chunk boundaries for every phase; compile (and patch, which runs the
+# same compile) is their only caller.
+
+#: Leaf boxes per batched kernel-matrix call (bounds peak memory).
+LEAF_BATCH = 1024
+
+#: Target boxes per FFT V-list chunk: bounds the frequency-grid working
+#: set (each box holds a (2p)^3 complex grid) so deep levels with tens of
+#: thousands of boxes do not blow up memory.
+VLI_CHUNK = 2048
+
+
+def _leaf_batches(tree: FmmTree, sel: np.ndarray):
+    """Yield ``(level, padded_count, node_indices)`` groups of leaves.
+
+    Groups selected leaves by (level, power-of-two padded point count) so
+    a phase processes thousands of small leaves per broadcast kernel
+    call; each group is additionally capped at :data:`LEAF_BATCH` boxes
+    to bound peak memory.
+    """
+    idx = np.flatnonzero(sel)
+    if idx.size == 0:
+        return
+    counts = (tree.pt_end - tree.pt_begin)[idx]
+    kpad = np.maximum(1 << np.ceil(np.log2(counts)).astype(np.int64), 1)
+    code = tree.levels[idx] * np.int64(1 << 24) + kpad
+    for c in np.unique(code):
+        grp = idx[code == c]
+        lev = int(tree.levels[grp[0]])
+        pad = int(kpad[code == c][0])
+        for s in range(0, grp.size, LEAF_BATCH):
+            yield lev, pad, grp[s : s + LEAF_BATCH]
+
+
+def _pair_batches(rows, cols, level_of, pad_count_of, ns):
+    """Group interaction pairs by (level, padded count) and chunk.
+
+    ``level_of``/``pad_count_of`` pick which side of the pair sets the
+    surface level and the padded point count.  Pairs within a group
+    share one broadcast kernel evaluation.
+    """
+    if rows.size == 0:
+        return
+    counts = pad_count_of
+    kpad = np.maximum(1 << np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64), 1)
+    code = level_of * np.int64(1 << 24) + kpad
+    for c in np.unique(code):
+        sel = np.flatnonzero(code == c)
+        pad = int(kpad[sel[0]])
+        lev = int(level_of[sel[0]])
+        chunk = max(1, int(6e6 / max(pad * ns, 1)))
+        for s in range(0, sel.size, chunk):
+            part = sel[s : s + chunk]
+            yield lev, pad, rows[part], cols[part]
+
+
+def _v_pairs_by_level(tree, lists, scope=None):
+    """Yield (level, tgt_idx, src_idx, offsets) for nonzero V pairs."""
+    v = lists.v
+    counts = v.counts
+    tgts = np.repeat(np.arange(tree.n_nodes), counts)
+    srcs = v.indices
+    if scope is not None and tgts.size:
+        keep = scope[tgts]
+        tgts, srcs = tgts[keep], srcs[keep]
+    if srcs.size == 0:
+        return
+    levels = tree.levels[tgts]
+    side = 2.0 * tree.half_widths[tgts]
+    offs = np.rint(
+        (tree.centers[tgts] - tree.centers[srcs]) / side[:, None]
+    ).astype(np.int64)
+    for lev in np.unique(levels):
+        sel = levels == lev
+        yield int(lev), tgts[sel], srcs[sel], offs[sel]
+
+
+def _vli_chunks(tree, lists, scope=None):
+    """Yield FFT V-list chunk schedules ``(level, usrc, utgt, steps)``.
+
+    ``usrc``/``utgt`` are the unique source/target boxes of the chunk;
+    ``steps`` is a list of ``(offset, tgt_positions, src_positions,
+    n_pairs)`` where the positions index into ``utgt``/``usrc``.
+    Within one offset each target appears at most once.
+    """
+    for lev, tgts, srcs, offs in _v_pairs_by_level(tree, lists, scope):
+        # pairs arrive sorted by target; chunks are contiguous slices
+        utgt_all = np.unique(tgts)
+        for t0 in range(0, utgt_all.size, VLI_CHUNK):
+            chunk = utgt_all[t0 : t0 + VLI_CHUNK]
+            a = np.searchsorted(tgts, chunk[0], side="left")
+            b = np.searchsorted(tgts, chunk[-1], side="right")
+            ctgts, csrcs, coffs = tgts[a:b], srcs[a:b], offs[a:b]
+            usrc, src_pos = np.unique(csrcs, return_inverse=True)
+            utgt, tgt_pos = np.unique(ctgts, return_inverse=True)
+            code = (
+                (coffs[:, 0] + 3) * 49 + (coffs[:, 1] + 3) * 7 + coffs[:, 2] + 3
+            )
+            steps = []
+            for c in np.unique(code):
+                sel = code == c
+                off = tuple(int(o) for o in coffs[sel][0])
+                steps.append((off, tgt_pos[sel], src_pos[sel], int(sel.sum())))
+            yield lev, usrc, utgt, steps
+
+
+def _uli_groups(tree, lists, scope=None):
+    """Yield U-list batch groups ``(tpad, spad, boxes, src_totals)``.
+
+    Groups selected leaves by (padded target count, padded total source
+    count) and chunks each group.  The per-leaf total source count is a
+    CSR segment sum over the U-list (prefix-sum difference — no Python
+    loop over leaves).
+    """
+    counts = tree.point_counts()
+    u = lists.u
+    sel = tree.is_leaf & (counts > 0)
+    if scope is not None:
+        sel = sel & scope
+    leaves = np.flatnonzero(sel)
+    if leaves.size == 0:
+        return
+    csum = np.concatenate(([0], np.cumsum(counts[u.indices])))
+    src_total = csum[u.offsets[leaves + 1]] - csum[u.offsets[leaves]]
+    active = src_total > 0
+    leaves, src_total = leaves[active], src_total[active]
+    if leaves.size == 0:
+        return
+    tpad = np.maximum(
+        1 << np.ceil(np.log2(np.maximum(counts[leaves], 1))).astype(np.int64), 1
+    )
+    spad = np.maximum(
+        1 << np.ceil(np.log2(np.maximum(src_total, 1))).astype(np.int64), 1
+    )
+    code = tpad * np.int64(1 << 32) + spad
+    for c in np.unique(code):
+        grp = np.flatnonzero(code == c)
+        tp = int(tpad[grp[0]])
+        sp = int(spad[grp[0]])
+        # bounded chunks keep batched GEMMs large enough to amortise
+        # dispatch while keeping each compiled kmat block small
+        # enough that a localized geometry update leaves most blocks
+        # untouched — whole-block reuse in patch_plan shares those by
+        # reference instead of copying (blocks sit in leaf Morton
+        # order, so a moving cluster dirties a few contiguous chunks)
+        chunk = max(1, int(1.5e6 / max(tp * sp, 1)))
+        for s in range(0, grp.size, chunk):
+            part = grp[s : s + chunk]
+            yield tp, sp, leaves[part], src_total[part]
+
+
+
 # -- compile ------------------------------------------------------------------
 
 
@@ -860,8 +1018,8 @@ def _padded_point_rows(tree: FmmTree, nodes: np.ndarray, pad: int) -> np.ndarray
 def _padded_points(tree: FmmTree, nodes: np.ndarray, pad: int) -> np.ndarray:
     """(b, pad, 3) leaf points, padding slots at the box centre.
 
-    Byte-identical to what the legacy per-box gather loops build, so the
-    downstream kernel matrices match bit for bit.
+    Padding slots are inert: as sources they gather the zero sentinel
+    density, as targets they scatter into the discarded sentinel row.
     """
     rows = _padded_point_rows(tree, nodes, pad)
     pts = np.repeat(tree.centers[nodes][:, None, :], pad, axis=1)
@@ -1150,7 +1308,7 @@ class _PlanReuse:
         the compiled chunks are bitwise the fresh ones.  Precision must
         match: fp32 chunks store complex64 hats.
         """
-        if scope is not None or self.old_plan.scoped:
+        if scope is not None or self.old_plan.scopes.any_set():
             return False
         if not self.kmats_ok or self.refinement_changed:
             return False
@@ -1308,8 +1466,8 @@ def _compile_wli_blocks(ev, tree, plan: EvalPlan, rows, cols):
     counts = tree.point_counts()
     blocks = []
     base: dict[int, np.ndarray] = {}
-    for lev, pad, ri, ci in ev._pair_batches(
-        tree, rows, cols, tree.levels[cols], counts[rows]
+    for lev, pad, ri, ci in _pair_batches(
+        rows, cols, tree.levels[cols], counts[rows], ev.ns
     ):
         if lev not in base:
             base[lev] = ev.ops.ue_points(lev)
@@ -1373,7 +1531,7 @@ def compile_plan(
         ks=ks,
         kt=kt,
         kt_eval=ev.eval_kernel.target_dim,
-        scoped=scopes.any_set(),
+        scopes=scopes,
         precision=precision,
     )
     plan._tree = tree
@@ -1382,7 +1540,7 @@ def compile_plan(
 
     # -- ULI (compiled first: priority claim on the matrix budget) ---------
     u = lists.u
-    for tp, sp, boxes, stot in ev._uli_groups(tree, lists, scopes.uli):
+    for tp, sp, boxes, stot in _uli_groups(tree, lists, scopes.uli):
         src_rows = np.full((boxes.size, sp), tree.n_points, dtype=np.int64)
         uslots = [None] * boxes.size if _reuse is not None else None
         for j, i in enumerate(boxes):
@@ -1431,7 +1589,7 @@ def compile_plan(
         sel = sel & scopes.s2u
     base_uc: dict[int, np.ndarray] = {}
     mats: dict[int, np.ndarray] = {}
-    for lev, pad, group in ev._leaf_batches(tree, sel):
+    for lev, pad, group in _leaf_batches(tree, sel):
         if lev not in base_uc:
             base_uc[lev] = ev.ops.uc_points(lev)
             # The uc2ue pseudoinverse stays float64 at BOTH precisions:
@@ -1473,7 +1631,7 @@ def compile_plan(
     if scopes.d2t is not None:
         dsel = dsel & scopes.d2t
     base_de: dict[int, np.ndarray] = {}
-    for lev, pad, group in ev._leaf_batches(tree, dsel):
+    for lev, pad, group in _leaf_batches(tree, dsel):
         if lev not in base_de:
             base_de[lev] = ev.ops.de_points(lev)
         pts = _padded_points(tree, group, pad)
@@ -1511,8 +1669,8 @@ def compile_plan(
     keepx = counts[cols] > 0
     rows, cols = rows[keepx], cols[keepx]
     base_dc: dict[int, np.ndarray] = {}
-    for lev, pad, ri, ci in ev._pair_batches(
-        tree, rows, cols, tree.levels[rows], counts[cols]
+    for lev, pad, ri, ci in _pair_batches(
+        rows, cols, tree.levels[rows], counts[cols], ev.ns
     ):
         if lev not in base_dc:
             base_dc[lev] = ev.ops.dc_points(lev)
@@ -1595,7 +1753,7 @@ def compile_plan(
                 h32.setflags(write=False)
             return h32
 
-        for lev, usrc, utgt, steps in ev._vli_chunks(tree, lists, scopes.vli):
+        for lev, usrc, utgt, steps in _vli_chunks(tree, lists, scopes.vli):
             plan.vli_fft.append(
                 _VChunk(
                     level=lev,
@@ -1608,7 +1766,7 @@ def compile_plan(
                 )
             )
     else:
-        for lev, tgts, srcs, offs in ev._v_pairs_by_level(tree, lists, scopes.vli):
+        for lev, tgts, srcs, offs in _v_pairs_by_level(tree, lists, scopes.vli):
             code = (offs[:, 0] + 3) * 49 + (offs[:, 1] + 3) * 7 + offs[:, 2] + 3
             for c in np.unique(code):
                 cs = code == c

@@ -121,48 +121,6 @@ class FmmTree:
             )
 
 
-def leaf_batches(tree: FmmTree, sel: np.ndarray, batch: int = 1024):
-    """Yield ``(level, padded_count, node_indices)`` groups of leaves.
-
-    Groups selected leaves by (level, power-of-two padded point count) so
-    evaluator phases can process thousands of small leaves per broadcast
-    kernel call; each group is additionally capped at ``batch`` boxes to
-    bound peak memory.
-    """
-    idx = np.flatnonzero(sel)
-    if idx.size == 0:
-        return
-    counts = (tree.pt_end - tree.pt_begin)[idx]
-    kpad = np.maximum(1 << np.ceil(np.log2(counts)).astype(np.int64), 1)
-    code = tree.levels[idx] * np.int64(1 << 24) + kpad
-    for c in np.unique(code):
-        grp = idx[code == c]
-        lev = int(tree.levels[grp[0]])
-        pad = int(kpad[code == c][0])
-        for s in range(0, grp.size, batch):
-            yield lev, pad, grp[s : s + batch]
-
-
-def gather_leaf_points(tree: FmmTree, dens: np.ndarray, group: np.ndarray,
-                       pad: int, source_dim: int):
-    """Padded per-leaf (points, densities) arrays for one batch group.
-
-    Padding slots hold the box centre with zero density, contributing
-    nothing to any kernel sum.
-    """
-    b = group.size
-    pts = np.repeat(tree.centers[group][:, None, :], pad, axis=1)
-    den = np.zeros((b, pad * source_dim))
-    for j, i in enumerate(group):
-        n = tree.pt_end[i] - tree.pt_begin[i]
-        pts[j, :n] = tree.points[tree.pt_begin[i] : tree.pt_end[i]]
-        if source_dim:
-            den[j, : n * source_dim] = dens[
-                tree.pt_begin[i] * source_dim : tree.pt_end[i] * source_dim
-            ]
-    return pts, den
-
-
 def tree_from_leaves(
     leaves: np.ndarray,
     sorted_points: np.ndarray,

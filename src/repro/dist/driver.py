@@ -67,6 +67,12 @@ def match_owned_rows(all_points: np.ndarray, owned_points: np.ndarray) -> np.nda
 class DistributedFmm:
     """Distributed kernel-independent FMM on a (simulated) communicator.
 
+    The first :meth:`evaluate` after :meth:`setup` compiles an
+    :class:`~repro.core.plan.EvalPlan` with this rank's ownership masks
+    baked in and reuses it for every later call on the same setup —
+    including resilient retries and checkpoint resumes, which rebind
+    communicators but keep the LET, and with it the plan.
+
     Parameters mirror :class:`repro.core.Fmm`, plus:
 
     comm_scheme:
@@ -82,19 +88,12 @@ class DistributedFmm:
     use_gpu:
         Attach a virtual GPU to this rank and run the accelerated
         evaluator (each MPI process owns one accelerator, as on Lincoln).
-    use_plan:
-        Compile an :class:`~repro.core.plan.EvalPlan` (with this rank's
-        ownership masks baked in) on the first ``evaluate()`` and reuse
-        it for every subsequent call on the same setup — including
-        resilient retries and checkpoint resumes, which rebind
-        communicators but keep the LET, and with it the plan.
     precision:
         Plan precision (``"fp64"`` / ``"fp32"`` / ``"auto"``; see
         :class:`repro.core.Fmm`).  With ``"auto"``, every rank probes its
         own subsample and the decision is made *collectively* (allgather
         of the per-rank votes; fp32 only if every rank voted fp32), so
-        ranks never evaluate at disagreeing precisions.  fp32 requires
-        ``use_plan=True``.
+        ranks never evaluate at disagreeing precisions.
     precision_rtol:
         Relative-error target for ``precision="auto"``.
     pipeline:
@@ -131,21 +130,13 @@ class DistributedFmm:
         use_gpu: bool = False,
         gpu=None,
         gpu_wx: bool = False,
-        use_plan: bool = True,
         precision: str = "fp64",
         precision_rtol: float | None = None,
         pipeline: bool = True,
         threads: int | None = None,
     ):
-        from repro.core.plan import PrecisionError
-
         if comm_scheme not in ("hypercube", "owner"):
             raise ValueError("comm_scheme must be 'hypercube' or 'owner'")
-        if not use_plan and precision != "fp64":
-            raise PrecisionError(
-                f"precision={precision!r} requires use_plan=True: the "
-                "plan-free distributed path is float64-only"
-            )
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
         self.order = int(order)
         self.max_points_per_box = int(max_points_per_box)
@@ -174,7 +165,6 @@ class DistributedFmm:
                 precision=precision,
                 precision_rtol=precision_rtol,
             )
-        self.use_plan = bool(use_plan)
         self.pipeline = bool(pipeline)
         self.threads = None if threads is None else max(1, int(threads))
         self.comm: SimComm | None = None
@@ -322,6 +312,26 @@ class DistributedFmm:
         self._plan = None  # plans are bound to the LET built above
         self._arm_chaos_gpu()
 
+    def _plan_scopes(self):
+        """This rank's ownership masks, as baked into its plan: leaf
+        phases run on owned leaves, U2U on owned contributors that hold
+        local points, and the interaction/downward phases on every owned
+        contributor."""
+        from repro.core.plan import PlanScopes
+
+        let = self.let
+        own_leaf, owned = let.owned_leaf, let.owned_contrib
+        return PlanScopes(
+            s2u=own_leaf,
+            u2u=owned & (self._own_counts > 0),
+            vli=owned,
+            xli=owned,
+            d2d=owned,
+            wli=own_leaf,
+            d2t=own_leaf,
+            uli=own_leaf,
+        )
+
     def update_geometry(self, new_local_points: np.ndarray) -> dict:
         """Re-setup on moved points, patching the compiled plan in place.
 
@@ -350,29 +360,16 @@ class DistributedFmm:
 
         stats: dict = {}
         patched = False
-        if self.use_plan and old_plan is not None:
-            from repro.core.plan import PlanScopes, patch_plan
+        if old_plan is not None:
+            from repro.core.plan import patch_plan
             from repro.core.tree import diff_trees
 
-            let, lists = self.let, self.lists
-            profile = comm.profile
-            own_leaf = let.owned_leaf
-            contrib = let.owned_contrib & (self._own_counts > 0)
-            with profile.phase("setup:patch"):
-                delta = diff_trees(old_let.tree, let.tree)
+            with comm.profile.phase("setup:patch"):
+                delta = diff_trees(old_let.tree, self.let.tree)
                 self._plan = patch_plan(
                     self.evaluator, old_plan, old_let.tree, old_lists,
-                    let.tree, lists, delta=delta,
-                    scopes=PlanScopes(
-                        s2u=own_leaf,
-                        u2u=contrib,
-                        vli=let.owned_contrib,
-                        xli=let.owned_contrib,
-                        d2d=let.owned_contrib,
-                        wli=own_leaf,
-                        d2t=own_leaf,
-                        uli=own_leaf,
-                    ),
+                    self.let.tree, self.lists, delta=delta,
+                    scopes=self._plan_scopes(),
                     cache_matrices=self.evaluator.PLAN_CACHE_MATRICES,
                     precision=old_plan.precision,
                 )
@@ -446,13 +443,9 @@ class DistributedFmm:
             # COMM_reduce alone against ranks that skip them — a deadlock
             resumable = all(comm.allgather(bool(resumable)))
         state = ev.allocate(tree)
-        own_leaf = let.owned_leaf
-        contrib = let.owned_contrib & (self._own_counts > 0)
 
         plan = self._plan
-        if self.use_plan and plan is None:
-            from repro.core.plan import PlanScopes
-
+        if plan is None:
             precision = ev.precision
             if precision == "auto":
                 # Every rank probes its own subsample, then the decision is
@@ -478,21 +471,12 @@ class DistributedFmm:
                 plan = self._plan = ev.compile_plan(
                     tree,
                     lists,
-                    scopes=PlanScopes(
-                        s2u=own_leaf,
-                        u2u=contrib,
-                        vli=let.owned_contrib,
-                        xli=let.owned_contrib,
-                        d2d=let.owned_contrib,
-                        wli=own_leaf,
-                        d2t=own_leaf,
-                        uli=own_leaf,
-                    ),
+                    scopes=self._plan_scopes(),
                     cache_matrices=ev.PLAN_CACHE_MATRICES,
                     precision=precision,
                 )
 
-        profile.precision = plan.precision if plan is not None else "fp64"
+        profile.precision = plan.precision
         pipelined = (
             (self.pipeline if pipeline is None else bool(pipeline))
             and comm.size > 1
@@ -516,9 +500,9 @@ class DistributedFmm:
                 with profile.phase("COMM_exchange"):
                     let.exchange_densities(comm, dens, ks)
             with profile.phase("S2U"):
-                ev.s2u(tree, dens, state, profile, scope=own_leaf, plan=plan)
+                ev.s2u(tree, dens, state, profile, plan)
             with profile.phase("U2U"):
-                ev.u2u(tree, state, profile, scope=contrib, plan=plan)
+                ev.u2u(tree, state, profile, plan)
             if pipelined:
                 # Complete before the reduce: charges land in this phase,
                 # and ghost densities must be in place for X/U-lists.
@@ -534,10 +518,7 @@ class DistributedFmm:
                 def _overlap() -> None:
                     with profile.phase("XLI"):
                         deferred.append(
-                            ev.xli_compute(
-                                tree, lists, dens, profile,
-                                scope=let.owned_contrib, plan=plan,
-                            )
+                            ev.xli_compute(tree, lists, dens, profile, plan)
                         )
 
                 with profile.phase("COMM_reduce"):
@@ -566,23 +547,20 @@ class DistributedFmm:
                 with profile.phase("COMM_ckpt"):
                     comm.barrier()
         with profile.phase("VLI"):
-            ev.vli(tree, lists, state, profile, scope=let.owned_contrib, plan=plan)
+            ev.vli(tree, lists, state, profile, plan)
         with profile.phase("XLI"):
             if xli_deferred is not None:
                 ev.xli_apply(state, xli_deferred)
             else:
-                ev.xli(
-                    tree, lists, dens, state, profile,
-                    scope=let.owned_contrib, plan=plan,
-                )
+                ev.xli(tree, lists, dens, state, profile, plan)
         with profile.phase("D2D"):
-            ev.d2d(tree, state, profile, scope=let.owned_contrib, plan=plan)
+            ev.d2d(tree, state, profile, plan)
         with profile.phase("WLI"):
-            ev.wli(tree, lists, state, profile, scope=own_leaf, plan=plan)
+            ev.wli(tree, lists, state, profile, plan)
         with profile.phase("D2T"):
-            ev.d2t(tree, state, profile, scope=own_leaf, plan=plan)
+            ev.d2t(tree, state, profile, plan)
         with profile.phase("ULI"):
-            ev.uli(tree, lists, dens, state, profile, scope=own_leaf, plan=plan)
+            ev.uli(tree, lists, dens, state, profile, plan)
         return let.gather_own_values(state["pot"], kt)
 
     def _reduce_shared(self, state: dict, overlap=None) -> None:

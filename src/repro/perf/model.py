@@ -298,6 +298,8 @@ def setup_seconds(
     ``setup:plan`` / ``setup:wli`` are the evaluation-plan compilation
     spans (see :mod:`repro.core.plan`): one-time work that amortises
     across repeated applies, so it belongs with setup, not evaluation.
+    ``setup:oneshot`` is the throwaway plan compile of a first evaluate
+    on a tree (see :mod:`repro.core.evaluator`).
     ``setup:precision`` is the one-time ``precision="auto"`` calibration
     probe (plus the distributed precision vote; see
     :func:`repro.core.autotune.autotune_precision`).
@@ -305,7 +307,7 @@ def setup_seconds(
     out = {}
     for ph in (
         "tree", "let", "lists", "balance",
-        "setup:plan", "setup:wli", "setup:precision",
+        "setup:plan", "setup:oneshot", "setup:wli", "setup:precision",
     ):
         secs, _ = _phase_values(profiles, machine, [ph])
         out[ph] = float(secs.max())

@@ -5,8 +5,8 @@ them through all eight phases in one apply.  That is only sound because
 of the fixed-shape GEMM contract (:mod:`repro.core.contract`): output
 column ``c`` of every batched GEMM depends on input column ``c`` alone,
 so a batched result must equal the solo result *bitwise*, not just to
-rounding.  These tests pin that promise across kernels, both evaluation
-paths, and concurrent callers sharing one evaluator.
+rounding.  These tests pin that promise across kernels, one-shot and
+compiled plans, and concurrent callers sharing one evaluator.
 """
 
 import threading
@@ -100,27 +100,36 @@ class TestMultiRhsBitIdentity:
                 assert np.array_equal(one[:, 0], solo)
 
     @pytest.mark.parametrize("kernel", ["laplace", "stokes", "yukawa"])
-    def test_no_plan_path(self, kernel):
+    def test_oneshot_path(self, kernel):
+        """Block and columns each on a fresh evaluator's one-shot plan."""
         n = 700
         pts = uniform_cube(n, seed=32)
-        fmm = Fmm(kernel, order=4, max_points_per_box=40)
         block = _density_block(kernel, n, 3, seed=6)
-        plan = fmm.plan(pts)
-        multi = fmm.evaluate(pts, block, plan=plan, use_plan=False)
+
+        def first_call(dens):
+            fmm = Fmm(kernel, order=4, max_points_per_box=40)
+            prof = PhaseProfile()
+            out = fmm.evaluate(pts, dens, profile=prof)
+            assert "setup:oneshot" in prof.events
+            return out
+
+        multi = first_call(block)
         for j in range(3):
-            solo = fmm.evaluate(pts, block[:, j], plan=plan, use_plan=False)
+            solo = first_call(block[:, j])
             assert np.array_equal(multi[:, j], solo), f"{kernel} col {j}"
 
-    def test_plan_path_equals_no_plan_path(self):
-        """The two paths agree bitwise, so batching never changes answers."""
+    def test_plan_path_equals_oneshot_path(self):
+        """A compiled plan and the one-shot plan agree bitwise on a block,
+        so neither batching nor plan caching changes answers."""
         n = 800
         pts = uniform_cube(n, seed=33)
         fmm = Fmm("laplace", order=4, max_points_per_box=35)
         block = _density_block("laplace", n, 4, seed=7)
         plan = fmm.plan(pts)
+        b = fmm.evaluate(pts, block, plan=plan)  # first call: one-shot
+        assert fmm.evaluator._plan_obj is None
         ep = fmm.compile_eval_plan(plan)
         a = fmm.evaluate(pts, block, plan=plan, eval_plan=ep)
-        b = fmm.evaluate(pts, block, plan=plan, use_plan=False)
         assert np.array_equal(a, b)
 
     def test_single_column_2d_equals_1d(self):
@@ -151,6 +160,25 @@ class TestDensityValidation:
         pts = uniform_cube(100, seed=1)
         with pytest.raises(ValueError, match=r"densities shape \(50, 2, 2\)"):
             Fmm("laplace", order=4).evaluate(pts, np.zeros((50, 2, 2)))
+
+    def test_rejected_call_neither_compiles_nor_counts(self):
+        """A wrong-size density fails before the lazy plan cache sees it,
+        so the next good call is still the pair's first (one-shot)."""
+        n = 300
+        pts = uniform_cube(n, seed=2)
+        fmm = Fmm("laplace", order=4, max_points_per_box=40)
+        plan = fmm.plan(pts)
+        ev = fmm.evaluator
+        for bad in (np.zeros(n + 1), np.zeros((n - 1, 2))):
+            prof = PhaseProfile()
+            with pytest.raises(ValueError, match="densities shape"):
+                ev.evaluate(plan.tree, plan.lists, bad, prof)
+            assert ev._plan_calls == 0
+            assert not any(k.startswith("setup:") for k in prof.events)
+        prof = PhaseProfile()
+        ev.evaluate(plan.tree, plan.lists, np.ones(n), prof)
+        assert ev._plan_calls == 1 and ev._plan_obj is None
+        assert "setup:oneshot" in prof.events
 
 
 class TestConcurrentEvaluate:

@@ -51,9 +51,11 @@ class TestModel:
         prof = PhaseProfile()
         prof.add_flops(2e9, phase="tree")
         prof.add_message(100, 0.25, phase="let")
+        prof.add_flops(1e9, phase="setup:oneshot")
         out = setup_seconds([prof], LOCAL)
         assert out["tree"] == pytest.approx(2.0)
         assert out["let"] == pytest.approx(0.25)
+        assert out["setup:oneshot"] == pytest.approx(1.0)
         assert out["lists"] == 0.0
 
     def test_fft_rate_separate(self):

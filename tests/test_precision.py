@@ -11,8 +11,8 @@ Covers the contract the precision feature is sold on:
   and is deterministic run-to-run.
 * **auto never violates its target**: the calibration probe may pick
   either precision, but the end-to-end error always meets ``rtol``.
-* **misuse fails typed**: fp32 without a plan, conflicting overrides,
-  and disallowed serve-side precisions raise
+* **misuse fails typed**: unknown precisions, conflicting overrides and
+  disallowed serve-side precisions raise
   :class:`~repro.core.plan.PrecisionError`.
 """
 
@@ -103,16 +103,21 @@ class TestFp64BitIdentity:
     """precision='fp64' must be byte-for-byte the pre-precision engine."""
 
     def test_plan_matches_legacy_path(self):
-        n = 1_500
-        points = uniform_cube(n, seed=11)
+        """An explicit fp64 plan reproduces the output frozen from the
+        pre-plan per-call path (``tests/data/golden_small.npz``)."""
+        from tests.test_reference import GOLDEN, GOLDEN_RTOL
+
+        with np.load(GOLDEN) as g:
+            points, dens = g["pts/uniform"], g["dens/uniform/1"]
+            legacy = g["out/serial/uniform/laplace"]
         fmm = Fmm("laplace", order=4, max_points_per_box=40)
-        dens = _dens_for(fmm.kernel, n, seed=11)
         plan = fmm.plan(points)
-        legacy = fmm.evaluate(points, dens, plan=plan, use_plan=False)
         ep = fmm.compile_eval_plan(plan, precision="fp64")
         assert ep.precision == "fp64"
         planned = fmm.evaluate(points, dens, plan=plan, eval_plan=ep)
-        np.testing.assert_array_equal(planned, legacy)
+        assert np.max(np.abs(planned - legacy)) <= GOLDEN_RTOL * np.max(
+            np.abs(legacy)
+        )
 
     def test_multi_rhs_matches_columns(self):
         n = 1_000
@@ -199,18 +204,25 @@ class TestFp32Behaviour:
         assert ep32.nbytes < 0.75 * ep64.nbytes
 
     def test_fp32_compiles_on_first_call(self):
-        # fp64 compiles lazily on the second same-setup call; fp32 cannot
-        # run plan-free, so the evaluator compiles eagerly on the first
+        # the first call compiles a throwaway fp32 plan and runs at fp32;
+        # the second compiles the cached one, as at every precision
         n = 800
         points = uniform_cube(n, seed=23)
         fmm = Fmm("laplace", order=4, max_points_per_box=40,
                   precision="fp32")
         dens = _dens_for(fmm.kernel, n, seed=23)
+        plan = fmm.plan(points)
         prof = PhaseProfile()
-        pot = fmm.evaluate(points, dens, profile=prof)
-        assert "setup:plan" in prof.events
+        first = fmm.evaluate(points, dens, plan=plan, profile=prof)
         assert prof.precision == "fp32"
-        assert np.isfinite(pot).all()
+        assert "setup:oneshot" in prof.events
+        assert "setup:plan" not in prof.events
+        assert fmm.evaluator._plan_obj is None
+        prof2 = PhaseProfile()
+        second = fmm.evaluate(points, dens, plan=plan, profile=prof2)
+        assert "setup:plan" in prof2.events
+        assert fmm.evaluator._plan_obj.precision == "fp32"
+        np.testing.assert_array_equal(first, second)
 
     def test_gpu_fp32_uses_plan_buffers(self):
         from repro.core.lists import build_lists
@@ -242,12 +254,20 @@ class TestTypedErrors:
             FmmEvaluator(get_kernel("laplace"), 4, precision="double")
 
     def test_fp32_is_plan_only(self):
+        """fp32 arithmetic lives in plans: a first-call fp32 override runs
+        a one-shot fp32 plan, bit-identical to an explicit one."""
         n = 600
         points = uniform_cube(n, seed=31)
         fmm = Fmm("laplace", order=4, max_points_per_box=40)
         dens = _dens_for(fmm.kernel, n, seed=31)
-        with pytest.raises(PrecisionError, match="plan"):
-            fmm.evaluate(points, dens, use_plan=False, precision="fp32")
+        plan = fmm.plan(points)
+        prof = PhaseProfile()
+        a = fmm.evaluate(points, dens, plan=plan, profile=prof,
+                         precision="fp32")
+        assert prof.precision == "fp32"
+        ep32 = fmm.compile_eval_plan(plan, precision="fp32")
+        b = fmm.evaluate(points, dens, plan=plan, eval_plan=ep32)
+        np.testing.assert_array_equal(a, b)
 
     def test_conflicting_plan_override_rejected(self):
         n = 600
@@ -261,10 +281,22 @@ class TestTypedErrors:
                          precision="fp32")
 
     def test_distributed_fp32_requires_plan(self):
+        """Every distributed evaluate runs a plan, compiled at the
+        requested precision on the first call."""
         from repro.dist.driver import DistributedFmm
+        from repro.mpi import run_spmd
 
-        with pytest.raises(PrecisionError, match="use_plan"):
-            DistributedFmm(order=4, use_plan=False, precision="fp32")
+        points = uniform_cube(800, seed=33)
+
+        def body(comm):
+            fmm = DistributedFmm(order=4, max_points_per_box=40,
+                                 precision="fp32")
+            fmm.setup(comm, points[comm.rank :: comm.size])
+            fmm.evaluate(np.ones(len(fmm.owned_points)))
+            return fmm._plan.precision, fmm.profile.precision
+
+        res = run_spmd(2, body)
+        assert res.values == [("fp32", "fp32")] * 2
 
 
 class TestServePrecision:
