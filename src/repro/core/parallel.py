@@ -2,17 +2,17 @@
 
 The compiled :class:`~repro.core.plan.EvalPlan` already decomposes every
 phase into independent batch groups — leaf/pair GEMM blocks, V-list
-chunk codes, per-child-position translation steps.  Each plan apply
+frequency slices, per-child-position translation steps.  Each plan apply
 hands those tiles to one section runner: without a pool it runs them
 inline, which is the serial loop; with a :class:`TaskPool` it runs them
 on a shared thread pool while keeping the results **bit-identical to
 serial execution at any thread count**:
 
-* Each task owns a fixed tile of the phase (a compiled block, chunk or
+* Each task owns a fixed tile of the phase (a compiled block, slice or
   step — never a fraction of one, because BLAS GEMM results are not
   stable under a changed row count at small sizes).
-* Tiles whose outputs are disjoint (S2U leaf groups, V-list chunk
-  targets, D2D child rows within a level) write their slices directly
+* Tiles whose outputs are disjoint (S2U leaf groups, V-list frequency
+  slices, D2D child rows within a level) write their slices directly
   from the worker — same stores as the serial loop, just reordered
   across *disjoint* rows.
 * Tiles whose outputs may overlap (U2U parents, dense-M2L targets,
@@ -34,7 +34,8 @@ threads, and every configured thread count runs the same single-threaded
 GEMMs — the other half of the bit-identity argument.
 
 ``PARALLEL:<phase>`` / ``PARALLEL:busy:<phase>`` trace spans record a
-pool section's elapsed and summed per-tile busy seconds (an inline run,
+pool section's elapsed wall seconds and summed per-tile thread CPU
+seconds (an inline run,
 with no pool, pins no BLAS threads and records no spans).  Only ``wall_s``
 carries timing — the signature drops it — while the deterministic tile
 and thread counts ride the ``comm_messages`` counter, so replaying a run
@@ -65,7 +66,9 @@ class TaskPool:
 
     ``run(tasks)`` executes zero-argument callables and returns their
     results **in submission order** plus the summed per-task busy
-    seconds.  The tasks are dealt into ``k = min(threads, len(tasks))``
+    seconds — the CPU time of the executing thread
+    (:func:`time.thread_time`), so a tile waiting on the GIL or on a
+    busy core is not counted as busy.  The tasks are dealt into ``k = min(threads, len(tasks))``
     fixed shares (share ``s`` takes tasks ``s, s + k, s + 2k, ...``):
     the calling thread runs share 0 itself and the executor's
     ``threads - 1`` workers run the rest, so a section hands off one
@@ -122,9 +125,9 @@ class TaskPool:
             n = 0
             try:
                 for i in range(s, len(tasks), k):
-                    t0 = time.perf_counter()
+                    t0 = time.thread_time()
                     results[i] = tasks[i]()
-                    busy[s] += time.perf_counter() - t0
+                    busy[s] += time.thread_time() - t0
                     n += 1
             finally:
                 with self._lock:
@@ -227,8 +230,9 @@ def record_parallel_spans(
 
     ``PARALLEL:<phase>`` carries the section's elapsed wall seconds and
     the tile count; ``PARALLEL:busy:<phase>`` carries the summed
-    per-tile busy seconds and the pool's thread count.  Achieved speedup
-    is ``busy / elapsed`` (see :func:`repro.perf.model.parallel_report`).
+    per-tile thread CPU seconds and the pool's thread count.  Achieved
+    speedup is ``busy / elapsed`` (see
+    :func:`repro.perf.model.parallel_report`).
     Timing lives only in ``wall_s`` — the one field
     :meth:`TraceRecorder.signature` drops — so identical runs under
     different thread schedules keep identical signatures.

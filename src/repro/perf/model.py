@@ -212,13 +212,17 @@ def parallel_report(trace) -> dict:
     the tile executor emits (see
     :func:`repro.core.parallel.record_parallel_spans`): the first carries
     the section's elapsed wall seconds and its tile count (in
-    ``comm_messages``), the second the summed per-tile busy seconds and
-    the pool's thread count.  Per phase:
+    ``comm_messages``), the second the summed per-tile busy seconds —
+    each tile's thread CPU time (:func:`time.thread_time`), not its wall
+    time — and the pool's thread count.  Per phase:
 
-    * ``achieved`` — summed busy over summed elapsed: how many tiles
-      were, on average, actually in flight at once.  1.0 means the
-      section ran serially (one core, GIL-bound tiles, or a 1-thread
-      pool); ``threads`` is the ceiling.
+    * ``achieved`` — summed busy over summed elapsed: how many cores
+      were, on average, actually computing tiles at once.  A tile that
+      waits on the GIL or on a busy core accrues no CPU time, so
+      GIL-bound tiles, a 1-thread pool or a host with fewer free cores
+      than threads all read about 1.0 or less; ``threads`` is the
+      ceiling.  Section overhead outside the tiles (handoff, combines)
+      counts as elapsed, not busy.
     * ``modelled`` — ``tiles / ceil(tiles / threads)`` averaged over
       sections (elapsed-weighted): the speedup a perfect
       fixed-assignment schedule of equal-cost tiles would reach, i.e.

@@ -131,6 +131,20 @@ class TestTaskPool:
         finally:
             pool.shutdown()
 
+    def test_sleeping_tile_is_not_busy(self):
+        """Busy is thread CPU time: a tile that waits (here: sleeps, as
+        on the GIL or a busy core) reports about zero busy, while its
+        wall time is the full wait."""
+        pool = TaskPool(2)
+        try:
+            t0 = time.perf_counter()
+            _, busy = pool.run([lambda: time.sleep(0.05)] * 2)
+            wall = time.perf_counter() - t0
+            assert wall >= 0.05
+            assert busy < 0.01
+        finally:
+            pool.shutdown()
+
     def test_caller_runs_share_zero(self):
         pool = TaskPool(2)
         try:
